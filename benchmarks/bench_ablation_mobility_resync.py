@@ -56,4 +56,4 @@ def test_ablation_mobility_resync(benchmark):
         payload_bytes=24,
         rng=7,
     )
-    benchmark(sim.run_packet, rng=3)
+    benchmark(sim._run_packet, rng=3)

@@ -40,7 +40,7 @@ def test_fig16a_rate_vs_distance(benchmark):
     assert 6.0 <= ranges[8000] <= 9.5, "8 Kbps range should sit near the paper's 7.5 m"
     assert 8.5 <= ranges[4000] <= 12.0, "4 Kbps range should sit near the paper's 10.5 m"
 
-    from repro.experiments.common import make_simulator
+    from repro.experiments.common import _make_simulator
 
-    sim = make_simulator(rate_bps=8000, distance_m=5.0, payload_bytes=16, rng=1)
-    benchmark(sim.run_packet, rng=2)
+    sim = _make_simulator(rate_bps=8000, distance_m=5.0, payload_bytes=16, rng=1)
+    benchmark(sim._run_packet, rng=2)

@@ -30,7 +30,7 @@ def test_fig16b_roll(benchmark):
     bers = np.array([p.ber for p in points])
     assert bers.max() < 0.01, "every roll angle must stay reliable"
 
-    from repro.experiments.common import make_simulator
+    from repro.experiments.common import _make_simulator
 
-    sim = make_simulator(distance_m=5.0, roll_deg=45.0, payload_bytes=16, rng=3)
-    benchmark(sim.run_packet, rng=4)
+    sim = _make_simulator(distance_m=5.0, roll_deg=45.0, payload_bytes=16, rng=3)
+    benchmark(sim._run_packet, rng=4)

@@ -39,7 +39,7 @@ def test_fig16c_yaw(benchmark):
     untrained_by_yaw = {p.x: p.ber for p in untrained}
     assert untrained_by_yaw[40] >= by_yaw[40], "training must not hurt at 40deg"
 
-    from repro.experiments.common import make_simulator
+    from repro.experiments.common import _make_simulator
 
-    sim = make_simulator(distance_m=3.0, yaw_deg=30.0, payload_bytes=16, rng=5)
-    benchmark(sim.run_packet, rng=6)
+    sim = _make_simulator(distance_m=3.0, yaw_deg=30.0, payload_bytes=16, rng=5)
+    benchmark(sim._run_packet, rng=6)

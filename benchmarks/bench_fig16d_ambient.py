@@ -26,8 +26,8 @@ def test_fig16d_ambient(benchmark):
     )
     assert all(p.ber < 0.01 for p in out.values()), "all conditions must be reliable"
 
-    from repro.experiments.common import make_simulator
+    from repro.experiments.common import _make_simulator
     from repro.optics.ambient import AMBIENT_PRESETS
 
-    sim = make_simulator(distance_m=5.0, ambient=AMBIENT_PRESETS["day"], payload_bytes=16, rng=7)
-    benchmark(sim.run_packet, rng=8)
+    sim = _make_simulator(distance_m=5.0, ambient=AMBIENT_PRESETS["day"], payload_bytes=16, rng=7)
+    benchmark(sim._run_packet, rng=8)

@@ -46,8 +46,8 @@ def test_fig17a_dfe_branches(benchmark):
     assert total["viterbi"] <= total["dfe_1"] + 1e-9
     assert total["viterbi"] <= total["dfe_16"] + 0.02, "16 branches ~ optimal"
 
-    from repro.experiments.common import make_simulator
+    from repro.experiments.common import _make_simulator
     from repro.experiments.fig17 import VITERBI_CONFIG
 
-    sim = make_simulator(config=VITERBI_CONFIG, distance_m=10.0, payload_bytes=16, rng=11)
-    benchmark(sim.run_packet, rng=12)
+    sim = _make_simulator(config=VITERBI_CONFIG, distance_m=10.0, payload_bytes=16, rng=11)
+    benchmark(sim._run_packet, rng=12)

@@ -36,8 +36,8 @@ def test_fig17b_training_memory(benchmark):
 
     from dataclasses import replace
 
-    from repro.experiments.common import make_simulator
+    from repro.experiments.common import _make_simulator
     from repro.modem.config import ModemConfig
 
-    sim = make_simulator(config=replace(ModemConfig(), tail_memory=1), distance_m=5.0, payload_bytes=16, rng=13)
-    benchmark(sim.run_packet, rng=14)
+    sim = _make_simulator(config=replace(ModemConfig(), tail_memory=1), distance_m=5.0, payload_bytes=16, rng=13)
+    benchmark(sim._run_packet, rng=14)

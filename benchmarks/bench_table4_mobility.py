@@ -34,10 +34,10 @@ def test_table4_mobility(benchmark):
     )
     assert all(p.ber < 0.01 for p in out.values()), "every mobility case reliable"
 
-    from repro.experiments.common import make_simulator
+    from repro.experiments.common import _make_simulator
     from repro.optics.ambient import MOBILITY_CASES
 
-    sim = make_simulator(
+    sim = _make_simulator(
         distance_m=5.0, mobility=MOBILITY_CASES["three_walk_around_los"], payload_bytes=16, rng=9
     )
-    benchmark(sim.run_packet, rng=10)
+    benchmark(sim._run_packet, rng=10)

@@ -28,7 +28,7 @@ from repro.faults import FaultPlan, scenario, scenario_names
 from repro.modem.config import ModemConfig, RATE_PRESETS, preset_for_rate
 from repro.obs import MetricsRegistry, Observer, RunReport
 from repro.optics.geometry import LinkGeometry
-from repro.phy.pipeline import PacketResult, PacketSimulator, measure_ber
+from repro.phy.pipeline import PacketResult, PacketSimulator
 
 __version__ = "1.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "ScenarioSpec",
     "Session",
     "__version__",
-    "measure_ber",
     "preset_for_rate",
     "scenario",
     "scenario_names",

@@ -11,9 +11,9 @@
     report.write("run.json")            # schema-validated RunReport
 
 * :class:`ScenarioSpec` (v2) keeps the shared link fields flat and nests
-  everything kind-private in knob groups (:mod:`repro.api.knobs`); the
-  v1 flat keyword form still constructs (warn-once) with byte-identical
-  ``describe()`` output.
+  everything kind-private in knob groups (:mod:`repro.api.knobs`); a
+  group is the only way to set its knobs, and ``describe()`` output stays
+  byte-identical to v1.
 * :class:`Session` owns an :class:`~repro.obs.Observer` and returns a
   :class:`~repro.obs.RunReport`.
 * :data:`SCENARIO_CATALOG` names ready-to-run trajectory scenarios

@@ -10,7 +10,6 @@ from repro.experiments.batch import BatchRunner, GridTask, make_grid, rows_to_sw
 from repro.experiments.common import (
     SweepPoint,
     format_table,
-    make_simulator,
     simulate_grid_task,
 )
 from repro.experiments.fig16 import (
@@ -89,7 +88,6 @@ __all__ = [
     "journal_rows",
     "latency_report",
     "make_grid",
-    "make_simulator",
     "merge_journals",
     "fleet_scale_task",
     "mobility_resync_sweep",

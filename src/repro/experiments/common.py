@@ -13,13 +13,11 @@ from repro.optics.ambient import AmbientLight
 from repro.optics.geometry import LinkGeometry
 from repro.optics.retroreflector import LinkBudget
 from repro.phy.pipeline import PacketSimulator
-from repro.utils.deprecation import warn_once
 
 __all__ = [
     "SweepPoint",
     "emit_sweep_report",
     "format_table",
-    "make_simulator",
     "simulate_grid_task",
 ]
 
@@ -35,21 +33,6 @@ class SweepPoint:
     def __iter__(self):
         yield self.x
         yield self.ber
-
-
-def make_simulator(*args, **kwargs) -> PacketSimulator:
-    """A PacketSimulator at a named experimental condition.
-
-    .. deprecated:: the kwarg grab-bag is replaced by the validated
-       :class:`repro.api.ScenarioSpec`; build one and call ``.build()``
-       (or run it through :class:`repro.api.Session`).
-    """
-    warn_once(
-        "make_simulator",
-        "make_simulator(**kwargs) is deprecated; construct a validated "
-        "repro.api.ScenarioSpec and use Session(spec).run() or spec.build()",
-    )
-    return _make_simulator(*args, **kwargs)
 
 
 def _make_simulator(
@@ -68,9 +51,13 @@ def _make_simulator(
     observer=None,
     **kwargs,
 ) -> PacketSimulator:
-    """Implementation behind the :func:`make_simulator` shim.
+    """A PacketSimulator at a named experimental condition.
 
-    Experiment defaults (payload, seeds) are sized for shape-faithful but
+    The factory behind :meth:`repro.api.ScenarioSpec.build` and the grid
+    harnesses; outside them, build a validated ``ScenarioSpec`` instead.
+    Geometry is given in degrees, ``config`` overrides the rate preset,
+    and any other keyword goes to :class:`PacketSimulator`.  Experiment
+    defaults (payload, seeds) are sized for shape-faithful but
     tractable sweeps; pass ``payload_bytes=128`` etc. for paper-exact
     dimensions.  ``observer=None`` falls back to the *ambient* observer
     (:func:`repro.obs.get_observer`), so sweeps wrapped in
@@ -108,9 +95,11 @@ def _make_simulator(
 def simulate_grid_task(task, rng) -> dict:
     """BatchRunner task body shared by the figure harnesses.
 
-    ``task.kwargs`` are :func:`make_simulator` keywords plus an optional
-    ``n_packets``; the per-cell generator drives both simulator construction
-    and the packet draws, so a cell's result depends only on its own seed.
+    ``task.kwargs`` are :func:`_make_simulator` keywords (the condition:
+    rate, distance, angles, ambient, payload size, ...) plus an optional
+    ``n_packets`` (default 4).  The per-cell generator drives both
+    simulator construction and the packet draws, so a cell's result
+    depends only on its own seed.
     """
     params = task.kwargs
     n_packets = params.pop("n_packets", 4)

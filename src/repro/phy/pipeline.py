@@ -25,11 +25,10 @@ from repro.phy.receiver import PhyReceiver
 from repro.phy.transmitter import PhyTransmitter
 from repro.training.offline import OfflineTrainer
 from repro.utils.bits import bit_errors, bytes_to_bits
-from repro.utils.deprecation import warn_once
 from repro.utils.opcache import fingerprint, fingerprint_array, fingerprint_config, resolve_opcache
 from repro.utils.rng import ensure_rng
 
-__all__ = ["CaptureSpec", "PacketResult", "PacketSimulator", "measure_ber"]
+__all__ = ["CaptureSpec", "PacketResult", "PacketSimulator"]
 
 
 @dataclass
@@ -286,32 +285,13 @@ class PacketSimulator:
 
     # ----------------------------------------------------------------- run
 
-    def run_packet(
-        self,
-        payload: bytes | None = None,
-        rng: np.random.Generator | int | None = None,
-        lead_slots: int = 4,
-    ) -> PacketResult:
-        """Simulate one packet end to end and score it.
-
-        .. deprecated:: 1.1
-            Prefer :meth:`repro.api.Session.run`, which wraps this loop in
-            the unified run API and returns a :class:`repro.obs.RunReport`.
-        """
-        warn_once(
-            "PacketSimulator.run_packet",
-            "PacketSimulator.run_packet is deprecated as a public entry point; "
-            "use repro.api.Session(ScenarioSpec(...)).run(n_packets=1) instead",
-        )
-        return self._run_packet(payload=payload, rng=rng, lead_slots=lead_slots)
-
     def _run_packet(
         self,
         payload: bytes | None = None,
         rng: np.random.Generator | int | None = None,
         lead_slots: int = 4,
     ) -> PacketResult:
-        """One packet end to end (internal, non-deprecated implementation)."""
+        """Simulate one packet end to end and score it."""
         obs = self._obs
         with obs.span("packet") as packet_span:
             cap = self.make_capture(payload=payload, rng=rng, lead_slots=lead_slots)
@@ -471,10 +451,3 @@ class PacketSimulator:
             mean_snr_est_db=snr_sum / snr_n if snr_n else float("-inf"),
             results=results,
         )
-
-
-def measure_ber(
-    simulator: PacketSimulator, n_packets: int = 30, rng=None, keep_results: bool = False
-) -> BERMeasurement:
-    """Function-style alias of :meth:`PacketSimulator.measure_ber`."""
-    return simulator.measure_ber(n_packets=n_packets, rng=rng, keep_results=keep_results)

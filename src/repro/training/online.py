@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from repro.lcm.fingerprint import FingerprintTable
 from repro.modem.config import ModemConfig
@@ -58,6 +57,14 @@ def _next_pow2(n: int) -> int:
     return p
 
 
+def _hadamard(n: int) -> np.ndarray:
+    """Sylvester's +/-1 Hadamard matrix of order ``n`` (a power of two)."""
+    h = np.ones((1, 1), dtype=int)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 class TrainingSequence:
     """The known per-group firing patterns of the training section.
 
@@ -73,7 +80,7 @@ class TrainingSequence:
         self.n_rounds = n_rounds or max(_next_pow2(n_groups), 8)
         if self.n_rounds < n_groups:
             raise ValueError(f"need at least {n_groups} rounds for {n_groups} groups")
-        h = hadamard(_next_pow2(self.n_rounds))[:, : self.n_rounds]
+        h = _hadamard(_next_pow2(self.n_rounds))[:, : self.n_rounds]
         # Row 0 is all ones (also a valid, independent pattern).
         self.patterns = (h[:n_groups] > 0).astype(np.uint8)
 

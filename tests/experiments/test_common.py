@@ -3,31 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.experiments.common import SweepPoint, format_table, make_simulator
+from repro.experiments.common import SweepPoint, _make_simulator, format_table
 from repro.optics.ambient import AMBIENT_PRESETS, MOBILITY_CASES
 
 
 class TestMakeSimulator:
     def test_geometry_wired_through(self):
-        sim = make_simulator(distance_m=4.0, roll_deg=30.0, yaw_deg=10.0, payload_bytes=8)
+        sim = _make_simulator(distance_m=4.0, roll_deg=30.0, yaw_deg=10.0, payload_bytes=8)
         geo = sim.link.geometry
         assert geo.distance_m == 4.0
         assert geo.roll_rad == pytest.approx(np.deg2rad(30.0))
         assert geo.yaw_rad == pytest.approx(np.deg2rad(10.0))
 
     def test_rate_preset_selected(self):
-        sim = make_simulator(rate_bps=4000, payload_bytes=8)
+        sim = _make_simulator(rate_bps=4000, payload_bytes=8)
         assert sim.config.rate_bps == pytest.approx(4000.0)
 
     def test_explicit_config_overrides_rate(self):
         from repro.modem.config import ModemConfig
 
         cfg = ModemConfig(dsm_order=2, pqam_order=4, slot_s=2e-3, fs=10e3)
-        sim = make_simulator(config=cfg, payload_bytes=8)
+        sim = _make_simulator(config=cfg, payload_bytes=8)
         assert sim.config is cfg
 
     def test_ambient_and_mobility_attached(self):
-        sim = make_simulator(
+        sim = _make_simulator(
             ambient=AMBIENT_PRESETS["day"],
             mobility=MOBILITY_CASES["walk_behind_tag"],
             payload_bytes=8,
@@ -36,7 +36,7 @@ class TestMakeSimulator:
         assert sim.link.mobility.name == "walk_behind_tag"
 
     def test_bank_mode_passthrough(self):
-        sim = make_simulator(bank_mode="nominal", payload_bytes=8)
+        sim = _make_simulator(bank_mode="nominal", payload_bytes=8)
         assert sim.bank_mode == "nominal"
 
 

@@ -82,7 +82,7 @@ class TestFailureInjection:
         sim.array = type(sim.array)(sim.array.groups, params=sim.array.params)
         sim.transmitter.array = sim.array
         sim.transmitter.modulator.array = sim.array
-        r = sim.run_packet(rng=8)
+        r = sim._run_packet(rng=8)
         assert r.ber < 0.02
 
     def test_wrong_scrambler_seed_garbles(self):

@@ -31,7 +31,7 @@ class TestFrontendFaults:
             geometry=LinkGeometry(distance_m=2.0),
             frontend=ReaderFrontend(adc_bits=6),
         )
-        assert sim.run_packet(rng=1).ber == 0.0
+        assert sim._run_packet(rng=1).ber == 0.0
 
     def test_4bit_adc_degrades(self):
         """4-bit conversion cannot resolve the DSM superposition."""
@@ -40,7 +40,7 @@ class TestFrontendFaults:
             geometry=LinkGeometry(distance_m=2.0),
             frontend=ReaderFrontend(adc_bits=4),
         )
-        result = sim.run_packet(rng=2)
+        result = sim._run_packet(rng=2)
         assert result.ber > 0.0 or not result.crc_ok
 
     def test_agc_handles_weak_capture(self):
@@ -50,7 +50,7 @@ class TestFrontendFaults:
             geometry=LinkGeometry(distance_m=2.0),
             frontend=ReaderFrontend(agc_target=0.05),
         )
-        assert sim.run_packet(rng=3).ber == 0.0
+        assert sim._run_packet(rng=3).ber == 0.0
 
 
 class TestTagFaults:
@@ -64,7 +64,7 @@ class TestTagFaults:
         sim.array = type(sim.array)(sim.array.groups, params=sim.array.params)
         sim.transmitter.array = sim.array
         sim.transmitter.modulator.array = sim.array
-        result = sim.run_packet(payload=bytes(range(8)), rng=4)
+        result = sim._run_packet(payload=bytes(range(8)), rng=4)
         if result.n_bit_errors > 0:
             assert not result.crc_ok
 
@@ -84,7 +84,7 @@ class TestTagFaults:
             DsmPqamModulator(FAST, LCMArray.build(FAST.dsm_order, FAST.levels_per_axis))
         )
         sim.frame.preamble.install_reference(wrong.reference)
-        result = sim.run_packet(rng=5)
+        result = sim._run_packet(rng=5)
         assert (not result.detected) or (not result.crc_ok)
 
 

@@ -42,7 +42,7 @@ class TestScenarioMatrix:
     def test_outcome_is_classified(self, name, seed):
         """Clean decode, or a typed failure — never a crash, never a lie."""
         sim = make_sim(fault_plan=scenario(name, seed=seed))
-        result = sim.run_packet(rng=11)  # must not raise
+        result = sim._run_packet(rng=11)  # must not raise
         if result.crc_ok:
             # A passing CRC must mean the payload really survived.
             assert result.n_bit_errors == 0
@@ -55,8 +55,8 @@ class TestScenarioMatrix:
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenarios_are_reproducible(self, name):
         """A seeded plan produces the identical outcome every run."""
-        a = make_sim(fault_plan=scenario(name, seed=5)).run_packet(rng=4)
-        b = make_sim(fault_plan=scenario(name, seed=5)).run_packet(rng=4)
+        a = make_sim(fault_plan=scenario(name, seed=5))._run_packet(rng=4)
+        b = make_sim(fault_plan=scenario(name, seed=5))._run_packet(rng=4)
         assert a.ber == b.ber
         assert a.crc_ok == b.crc_ok
         assert a.failure == b.failure
@@ -64,7 +64,7 @@ class TestScenarioMatrix:
     def test_lost_packets_score_every_bit_errored(self):
         """No silent zero-padding: an unrecovered packet has BER 1.0."""
         sim = make_sim(fault_plan=scenario("truncation", seed=3))
-        result = sim.run_packet(rng=11)
+        result = sim._run_packet(rng=11)
         assert not result.crc_ok
         assert result.failure is not None
         assert result.ber == 1.0
@@ -72,7 +72,7 @@ class TestScenarioMatrix:
 
     def test_events_record_every_stage(self):
         sim = make_sim()
-        result = sim.run_packet(rng=1)
+        result = sim._run_packet(rng=1)
         assert result.crc_ok
         stages = [e.stage for e in result.events]
         assert FailureStage.DETECTION in stages
@@ -89,7 +89,7 @@ class TestComposition:
             ],
             seed=2,
         )
-        result = make_sim(fault_plan=plan).run_packet(rng=11)
+        result = make_sim(fault_plan=plan)._run_packet(rng=11)
         assert result.crc_ok in (True, False)
         if not result.crc_ok:
             assert result.failure is not None

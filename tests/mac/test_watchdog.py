@@ -89,7 +89,7 @@ class TestTracking:
 class TestSimulation:
     def test_good_link_stays_at_top_rate(self):
         wd = make_watchdog()
-        stats = wd.simulate(lambda rate: 1.0, n_frames=50, rng=1)
+        stats = wd._simulate(lambda rate: 1.0, n_frames=50, rng=1)
         assert stats.delivered == 50
         assert stats.gave_up == 0
         assert stats.total_backoff_s == 0.0
@@ -99,14 +99,14 @@ class TestSimulation:
         """Only the lowest two rungs work: the watchdog must find them."""
         p = {1_000: 1.0, 2_000: 1.0, 4_000: 0.0, 8_000: 0.0}
         wd = make_watchdog()
-        stats = wd.simulate(p, n_frames=30, arq=StopAndWaitARQ(max_attempts=8), rng=2)
+        stats = wd._simulate(p, n_frames=30, arq=StopAndWaitARQ(max_attempts=8), rng=2)
         assert stats.final_rate_bps in (1_000, 2_000)
         assert stats.delivered > 20
         assert stats.total_backoff_s > 0.0
 
     def test_dead_link_gives_up_and_backs_off(self):
         wd = make_watchdog()
-        stats = wd.simulate(lambda rate: 0.0, n_frames=5, arq=StopAndWaitARQ(max_attempts=4), rng=3)
+        stats = wd._simulate(lambda rate: 0.0, n_frames=5, arq=StopAndWaitARQ(max_attempts=4), rng=3)
         assert stats.delivered == 0
         assert stats.gave_up == 5
         assert stats.attempts == 20
@@ -115,7 +115,7 @@ class TestSimulation:
 
     def test_frame_accounting_invariant(self):
         wd = make_watchdog()
-        stats = wd.simulate(lambda rate: 0.5, n_frames=200, rng=4)
+        stats = wd._simulate(lambda rate: 0.5, n_frames=200, rng=4)
         assert stats.delivered + stats.gave_up == 200
         assert len(stats.rate_trace) == 200
 

@@ -95,7 +95,7 @@ class TestPipelineIntegration:
             codec=RSCodec(n=30, k=18),
             rng=7,
         )
-        r = sim.run_packet(rng=1)
+        r = sim._run_packet(rng=1)
         assert r.ber == 0.0 and r.crc_ok
 
     def test_coding_extends_range(self):
@@ -119,6 +119,6 @@ class TestPipelineIntegration:
             link=OpticalLink(geometry=LinkGeometry(distance_m=distance)),
             **kwargs,
         )
-        coded_ok = sum(coded.run_packet(rng=s).crc_ok for s in range(6))
-        raw_ok = sum(raw.run_packet(rng=s).crc_ok for s in range(6))
+        coded_ok = sum(coded._run_packet(rng=s).crc_ok for s in range(6))
+        raw_ok = sum(raw._run_packet(rng=s).crc_ok for s in range(6))
         assert coded_ok >= raw_ok

@@ -26,7 +26,7 @@ def make_sim(distance_m=1.0, **kwargs) -> PacketSimulator:
 class TestCleanDecoding:
     def test_high_snr_zero_ber(self):
         sim = make_sim()
-        r = sim.run_packet(rng=1)
+        r = sim._run_packet(rng=1)
         assert r.ber == 0.0
         assert r.crc_ok
         assert r.detected
@@ -34,16 +34,16 @@ class TestCleanDecoding:
     def test_payload_preserved_exactly(self):
         sim = make_sim()
         payload = bytes(range(8))
-        r = sim.run_packet(payload=payload, rng=2)
+        r = sim._run_packet(payload=payload, rng=2)
         assert r.n_bit_errors == 0
 
     def test_genie_mode(self):
         sim = make_sim(bank_mode="genie")
-        assert sim.run_packet(rng=3).ber == 0.0
+        assert sim._run_packet(rng=3).ber == 0.0
 
     def test_nominal_mode_with_ideal_tag(self):
         sim = make_sim(bank_mode="nominal", heterogeneity=HeterogeneityModel.ideal())
-        assert sim.run_packet(rng=4).ber == 0.0
+        assert sim._run_packet(rng=4).ber == 0.0
 
     def test_default_8kbps_config(self):
         sim = PacketSimulator(
@@ -51,7 +51,7 @@ class TestCleanDecoding:
             payload_bytes=16,
             rng=9,
         )
-        r = sim.run_packet(rng=5)
+        r = sim._run_packet(rng=5)
         assert r.ber == 0.0
         assert r.crc_ok
 
@@ -71,7 +71,7 @@ class TestDegradation:
         sim.link = OpticalLink(
             geometry=LinkGeometry(distance_m=2.0, off_axis_rad=np.deg2rad(45))
         )
-        r = sim.run_packet(rng=7)
+        r = sim._run_packet(rng=7)
         assert not r.crc_ok
         assert r.ber > 0.1
 
@@ -101,7 +101,7 @@ class TestMeasurement:
             make_sim(bank_mode="magic")
 
     def test_deterministic_given_seeds(self):
-        a = make_sim().run_packet(rng=11)
-        b = make_sim().run_packet(rng=11)
+        a = make_sim()._run_packet(rng=11)
+        b = make_sim()._run_packet(rng=11)
         assert a.ber == b.ber
         assert a.snr_est_db == pytest.approx(b.snr_est_db)

@@ -38,12 +38,12 @@ class TestPreambleCorruptionRecovery:
     """A burst obliterating the preamble's head (corrupted first search)."""
 
     def test_seed_receiver_loses_the_packet(self):
-        result = make_sim(hardened=False, plan_name="preamble_corruption").run_packet(rng=11)
+        result = make_sim(hardened=False, plan_name="preamble_corruption")._run_packet(rng=11)
         assert not result.detected
         assert not result.crc_ok
 
     def test_hardened_receiver_recovers_cleanly(self):
-        result = make_sim(hardened=True, plan_name="preamble_corruption").run_packet(rng=11)
+        result = make_sim(hardened=True, plan_name="preamble_corruption")._run_packet(rng=11)
         assert result.detected
         assert result.crc_ok
         assert result.n_bit_errors == 0
@@ -55,13 +55,13 @@ class TestTrainingBurstRecovery:
     """Interference over the training section (ill-conditioned training)."""
 
     def test_seed_receiver_decodes_garbage(self):
-        result = make_sim(hardened=False, plan_name="training_burst").run_packet(rng=11)
+        result = make_sim(hardened=False, plan_name="training_burst")._run_packet(rng=11)
         assert result.detected
         assert not result.crc_ok
         assert result.n_bit_errors > 0
 
     def test_hardened_receiver_falls_back_to_nominal_bank(self):
-        result = make_sim(hardened=True, plan_name="training_burst").run_packet(rng=11)
+        result = make_sim(hardened=True, plan_name="training_burst")._run_packet(rng=11)
         assert result.crc_ok
         assert result.n_bit_errors == 0
         fallbacks = [e for e in result.events if e.stage == FailureStage.TRAINING and e.status == "fallback"]
@@ -74,7 +74,7 @@ class TestTrainingBurstRecovery:
             plan_name="training_burst",
             heterogeneity=HeterogeneityModel.ideal(),
             n_bases=2,
-        ).run_packet(rng=11)
+        )._run_packet(rng=11)
         assert result.crc_ok
         assert result.n_bit_errors == 0
 
@@ -84,10 +84,10 @@ class TestTruncationClassification:
 
     def test_seed_receiver_raises(self):
         with pytest.raises(ValueError, match="truncated"):
-            make_sim(hardened=False, plan_name="truncation").run_packet(rng=11)
+            make_sim(hardened=False, plan_name="truncation")._run_packet(rng=11)
 
     def test_hardened_receiver_classifies(self):
-        result = make_sim(hardened=True, plan_name="truncation").run_packet(rng=11)
+        result = make_sim(hardened=True, plan_name="truncation")._run_packet(rng=11)
         assert not result.crc_ok
         assert result.failure is not None
         assert result.failure.stage == FailureStage.CAPTURE
@@ -123,13 +123,13 @@ class TestEqualizationErrorClassification:
 
         self._raising(monkeypatch, EqualizationError("forced"))
         with pytest.raises(EqualizationError, match="forced"):
-            self._clean_sim(hardened=False).run_packet(rng=11)
+            self._clean_sim(hardened=False)._run_packet(rng=11)
 
     def test_hardened_receiver_classifies_equalization_error(self, monkeypatch):
         from repro.errors import EqualizationError
 
         self._raising(monkeypatch, EqualizationError("forced"))
-        result = self._clean_sim(hardened=True).run_packet(rng=11)
+        result = self._clean_sim(hardened=True)._run_packet(rng=11)
         assert not result.crc_ok
         assert result.failure is not None
         assert result.failure.stage == FailureStage.EQUALIZATION
@@ -139,7 +139,7 @@ class TestEqualizationErrorClassification:
         """A plain ValueError out of the demodulator is *not* an
         equalization refusal and must keep its own code."""
         self._raising(monkeypatch, ValueError("singular"))
-        result = self._clean_sim(hardened=True).run_packet(rng=11)
+        result = self._clean_sim(hardened=True)._run_packet(rng=11)
         assert result.failure is not None
         assert result.failure.stage == FailureStage.EQUALIZATION
         assert result.failure.code == "demodulator_error"
@@ -165,8 +165,8 @@ class TestCleanPathUnchanged:
             payload_bytes=8,
             rng=7,
         )
-        a = PacketSimulator(hardened=True, **clean).run_packet(rng=5)
-        b = PacketSimulator(hardened=False, **clean).run_packet(rng=5)
+        a = PacketSimulator(hardened=True, **clean)._run_packet(rng=5)
+        b = PacketSimulator(hardened=False, **clean)._run_packet(rng=5)
         assert a.ber == b.ber == 0.0
         assert a.crc_ok and b.crc_ok
         assert a.snr_est_db == pytest.approx(b.snr_est_db)

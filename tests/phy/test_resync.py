@@ -57,7 +57,7 @@ class TestMobileLink:
             heterogeneity=HeterogeneityModel.ideal(),
             rng=1,
         )
-        ber, crc_ok = sim.run_packet(rng=2)
+        ber, crc_ok = sim._run_packet(rng=2)
         assert ber == 0.0
         assert crc_ok
 

@@ -294,7 +294,7 @@ class TestPipelineCaptureFactory:
 
     def test_run_packet_consumes_make_capture(self, sim):
         """The packet loop and the factory must stay the same synthesis:
-        decoding the factory's capture reproduces run_packet on the seed."""
+        decoding the factory's capture reproduces _run_packet on the seed."""
         res = sim._run_packet(rng=np.random.default_rng(43))
         cap = sim.make_capture(rng=np.random.default_rng(43))
         assert res.snr_link_db == cap.link_snr_db

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from repro.channel.awgn import add_awgn
 from repro.modem.dsm_pqam import DsmPqamModulator
 from repro.modem.references import ReferenceBank, collect_unit_table
-from repro.training.online import OnlineTrainer, TrainingSequence
+from repro.training.online import OnlineTrainer, TrainingSequence, _hadamard
 
 
 class TestTrainingSequence:
@@ -36,6 +37,12 @@ class TestTrainingSequence:
     def test_too_few_rounds_rejected(self, fast_config):
         with pytest.raises(ValueError):
             TrainingSequence(fast_config, n_rounds=2)
+
+    @pytest.mark.parametrize("n", [2**k for k in range(9)])
+    def test_hadamard_matches_scipy(self, n):
+        got, want = _hadamard(n), hadamard(n)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestCoefficientRecovery:
